@@ -13,9 +13,10 @@ Usage examples:
 Degrees are comma-separated; each degree is an integer or a '+'-separated sum
 of terms `INT` or `2^INT` whose powers of two must all be distinct, e.g.
 `2^1000000+5`.  Reports are JSON by default (error-table defaults to CSV);
-all integers above 53-bit magnitude serialize as decimal strings so that
-double-precision JSON consumers cannot corrupt them.  Exit codes: 0 success,
-2 bad input, 3 infeasible request (enumeration or precision guard).
+all integers above 53-bit magnitude serialize as decimal strings (with no
+digit limit) so that double-precision JSON consumers cannot corrupt them.
+Exit codes: 0 success, 2 bad input, 3 infeasible request (enumeration or
+precision guard).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import re
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 
 import click
 
@@ -51,7 +53,7 @@ from .recurrence import (
     expand,
     full_charpoly,
     minimal_charpoly,
-    minimal_recurrence,
+    recurrence_of,
     to_recurrence,
     verify,
 )
@@ -107,11 +109,35 @@ def format_degree(bits: tuple[int, ...]) -> str:
     return "+".join(f"2^{b}" for b in reversed(bits))
 
 
+def _decimal(value: int) -> str:
+    """Decimal string of an int of any size.
+
+    str() refuses ints past the interpreter's digit limit; those are split
+    recursively at a power of ten instead of raising the process-wide limit.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    if value < 0:
+        return "-" + _decimal(-value)
+    half = value.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(value, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
+def _ratio(q: Fraction) -> str:
+    """str(q) for a Fraction, without the digit limit."""
+    if q.denominator == 1:
+        return _decimal(q.numerator)
+    return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
+
+
 def _jsonable(value):
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
-        return value if -_JSON_SAFE_MAGNITUDE < value < _JSON_SAFE_MAGNITUDE else str(value)
+        return value if -_JSON_SAFE_MAGNITUDE < value < _JSON_SAFE_MAGNITUDE else _decimal(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -212,7 +238,7 @@ def cmd_sum(degrees_expr, n, oracle, max_brute, fmt, r_max) -> None:
         result = {
             "n": n,
             "exponential_sum": value,
-            "correlation": str(correlation(n, K)),
+            "correlation": _ratio(correlation(n, K)),
         }
         if oracle:
             check = exp_sum_bruteforce(n, K, n_max=max_brute)
@@ -238,7 +264,7 @@ def cmd_recurrence(degrees_expr, full, verify_to, fmt, r_max) -> None:
         K = parse_degrees(degrees_expr)
         factored = minimal_charpoly(K, r_max=r_max)
         poly = expand(factored)
-        rec = minimal_recurrence(K, r_max=r_max)
+        rec = recurrence_of(K, poly, r_max=r_max)
         lower, upper = degree_bounds(K)
         result = {
             "minimal": factored.to_dict(),
@@ -266,7 +292,7 @@ def cmd_c0(degrees_expr, fmt, r_max) -> None:
     with _error_exit():
         K = parse_degrees(degrees_expr)
         c0 = limit_correlation(K)
-        result = {"c0": str(c0), "asymptotically_balanced": c0 == 0}
+        result = {"c0": _ratio(c0), "asymptotically_balanced": c0 == 0}
         _emit(_report("c0", K, result, None), fmt or "json", None)
 
 
@@ -285,11 +311,11 @@ def cmd_asym(degrees_expr, n, precision_bits, fmt, r_max) -> None:
     """Main term, two-term asymptotic value, and (when c0 = 0) the error term."""
     with _error_exit():
         K = parse_degrees(degrees_expr)
-        prec = PrecisionConfig(bits=precision_bits or 1024)
+        prec = PrecisionConfig(bits=1024 if precision_bits is None else precision_bits)
         c0 = limit_correlation(K)
         result = {
             "n": n,
-            "c0": str(c0),
+            "c0": _ratio(c0),
             "main_term": prec.format(main_term(K, n, prec, r_max=r_max)),
             "asymptotic_value": prec.format(asymptotic_value(K, n, prec, r_max=r_max)),
         }
@@ -323,7 +349,7 @@ def cmd_error_table(degrees_expr, rows_expr, precision_bits, fmt, r_max) -> None
             rows = [int(part.strip()) for part in rows_expr.split(",")]
         except ValueError:
             raise DegreeParseError(f"bad row list {rows_expr!r}") from None
-        prec = PrecisionConfig(bits=precision_bits or 1024)
+        prec = PrecisionConfig(bits=1024 if precision_bits is None else precision_bits)
         table = error_table(K, rows, prec, r_max=r_max)
         result = {"rows": [{"n": n, "error": prec.format(v)} for n, v in table]}
         csv_rows = ["n,error"] + [f"{n},{prec.format(v)}" for n, v in table]

@@ -44,13 +44,33 @@ class IntPolynomial:
         return self.coeffs[-1] == 1
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(tuple(out))
+        """Kronecker substitution: one big-int product of the packed operands.
+
+        Each coefficient gets a slot of `width` bytes (w bits) with 2**(w-1)
+        above every product coefficient's magnitude, so adding 2**(w-1) to each
+        slot keeps the slots non-negative and carry-free for a single linear
+        unpack.
+        """
+        a, b = self.coeffs, other.coeffs
+        bound = max(1, *map(abs, a)) * max(1, *map(abs, b)) * min(len(a), len(b))
+        width = bound.bit_length() // 8 + 1
+        size = len(a) + len(b) - 1
+        half = 1 << (8 * width - 1)
+        offset = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+        slots = memoryview(
+            (_pack(a, width) * _pack(b, width) + offset).to_bytes(size * width, "little")
+        )
+        return IntPolynomial(tuple(
+            int.from_bytes(slots[i:i + width], "little") - half
+            for i in range(0, size * width, width)
+        ))
+
+
+def _pack(coeffs: tuple[int, ...], width: int) -> int:
+    """Sum of c_i * 2**(8*width*i); each |c_i| must fit in 8*width - 1 bits."""
+    pos = b"".join(max(c, 0).to_bytes(width, "little") for c in coeffs)
+    neg = b"".join(max(-c, 0).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 @dataclass(frozen=True)
@@ -167,16 +187,23 @@ def to_recurrence(p: IntPolynomial) -> LinearRecurrence:
     return LinearRecurrence(coefficients=coeffs, valid_from=p.degree)
 
 
-def minimal_recurrence(K: DegreeSet, *, r_max: int = R_MAX_DEFAULT) -> LinearRecurrence:
-    """Minimal integer recurrence with its exact first valid index.
+def recurrence_of(
+    K: DegreeSet, poly: IntPolynomial, *, r_max: int = R_MAX_DEFAULT
+) -> LinearRecurrence:
+    """Recurrence of K's expanded minimal polynomial with its exact first valid index.
 
     The relation holds from n = order, except that a nonzero 0**n coefficient
     in the closed form shifts the first valid window off n = 0 by one.
     """
-    rec = to_recurrence(expand(minimal_charpoly(K, r_max=r_max)))
+    rec = to_recurrence(poly)
     if alternating_orbit_sum(K, r_max=r_max) != 0:
         rec = replace(rec, valid_from=rec.order + 1)
     return rec
+
+
+def minimal_recurrence(K: DegreeSet, *, r_max: int = R_MAX_DEFAULT) -> LinearRecurrence:
+    """Minimal integer recurrence with its exact first valid index."""
+    return recurrence_of(K, expand(minimal_charpoly(K, r_max=r_max)), r_max=r_max)
 
 
 def verify(

@@ -48,6 +48,15 @@ def monomial_sigma_parity(assignment_bits: int, n: int, k: int) -> int:
     return total % 2
 
 
+def schoolbook_product(a, b) -> tuple:
+    """Coefficients of the product of two coefficient tuples, by the double loop."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
 def random_degree_set(rng: random.Random, max_k: int, max_s: int = 4) -> DegreeSet:
     """Random degree set with largest degree at least 2 (so r >= 2)."""
     while True:

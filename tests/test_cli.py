@@ -1,10 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from boolsum import DegreeSet, exp_sum, full_charpoly, to_recurrence
-from boolsum.cli import DegreeParseError, cli, format_degree, parse_degrees
+import boolsum.cli
+import boolsum.recurrence
+from boolsum import DegreeSet, exp_sum, expand, full_charpoly, to_recurrence
+from boolsum.cli import DegreeParseError, _decimal, cli, format_degree, parse_degrees
 
 
 def run(*args, env=None):
@@ -14,6 +17,16 @@ def run(*args, env=None):
 def payload(result):
     report = json.loads(result.output)
     return report, report["result"]
+
+
+def parse_decimal(text: str) -> int:
+    """int(text) in 1000-digit chunks, so no int->str digit limit applies."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
 
 
 class TestParseDegrees:
@@ -70,6 +83,22 @@ class TestSumCommand:
         assert isinstance(result["exponential_sum"], str)
         assert int(result["exponential_sum"]) == exp_sum(200, DegreeSet.of(3))
 
+    def test_values_past_the_int_str_digit_limit(self):
+        result = run("sum", "--degrees", "3", "--n", "24000")
+        assert result.exit_code == 0
+        _, out = payload(result)
+        value = exp_sum(24000, DegreeSet.of(3))
+        assert parse_decimal(out["exponential_sum"]) == value
+        num, den = out["correlation"].split("/")
+        assert Fraction(parse_decimal(num), parse_decimal(den)) == Fraction(value, 2**24000)
+
+    def test_decimal_has_no_digit_limit(self):
+        for value in (0, -5, 10**4299, -(10**4300), 7**12000, -(3**30000) + 1):
+            text = _decimal(value)
+            assert parse_decimal(text) == value
+            if len(text.lstrip("-")) <= 4300:
+                assert text == str(value)
+
     def test_negative_n_is_input_error(self):
         result = run("sum", "--degrees", "3", "--n", "-1")
         assert result.exit_code == 2
@@ -99,6 +128,18 @@ class TestRecurrenceCommand:
         assert result["verify"] == {"through": 40, "ok": True}
         expected_full = list(to_recurrence(full_charpoly(3)).coefficients)
         assert result["full_recurrence"] == expected_full
+
+    def test_expands_the_polynomial_once(self, monkeypatch):
+        calls = []
+
+        def counting_expand(f):
+            calls.append(f)
+            return expand(f)
+
+        monkeypatch.setattr(boolsum.cli, "expand", counting_expand)
+        monkeypatch.setattr(boolsum.recurrence, "expand", counting_expand)
+        assert run("recurrence", "--degrees", "6,17").exit_code == 0
+        assert len(calls) == 1
 
     def test_infeasible_period_is_exit_3(self):
         result = run("recurrence", "--degrees", "2^25")
@@ -145,6 +186,18 @@ class TestAsymCommand:
                 env={"BOOLSUM_PRECISION": "256"})
         )
         assert report["precision_bits"] == 256
+
+    @pytest.mark.parametrize(
+        "args, env",
+        [
+            (("asym", "--degrees", "3,5", "--n", "10", "--precision", "0"), None),
+            (("asym", "--degrees", "3,5", "--n", "10"), {"BOOLSUM_PRECISION": "0"}),
+            (("error-table", "--degrees", "5,9,12", "--rows", "100",
+              "--precision", "0"), None),
+        ],
+    )
+    def test_zero_precision_is_exit_2(self, args, env):
+        assert run(*args, env=env).exit_code == 2
 
     def test_precision_guard_is_exit_3(self):
         result = run(

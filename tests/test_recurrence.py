@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from boolsum import (
     DegreeSet,
@@ -23,10 +24,20 @@ from boolsum import (
     verify,
 )
 
-from oracles import random_degree_set
+from oracles import random_degree_set, schoolbook_product
 
 REFERENCE_REC_K7 = (8, -28, 56, -70, 56, -28, 8)
 REFERENCE_REC_35 = (6, -14, 16, -10, 4)
+
+# Zeros, small values of both signs and values past 2**300.
+_coefficients = st.one_of(
+    st.just(0), st.integers(-3, 3), st.integers(-(1 << 320), 1 << 320)
+)
+_polynomials = st.builds(
+    lambda body, lead: IntPolynomial((*body, lead)),
+    st.lists(_coefficients, max_size=30),
+    _coefficients.filter(bool),
+)
 
 
 class TestPolynomials:
@@ -39,7 +50,7 @@ class TestPolynomials:
         assert full_charpoly(2).coeffs == (-4, 6, -4, 1)
 
     def test_full_charpoly_binomial_equals_product(self):
-        for r in range(2, 11):
+        for r in range(2, 12):
             product = expand(
                 FactoredCharPoly(has_x_minus_2=True, levels=frozenset(range(1, r)))
             )
@@ -53,6 +64,13 @@ class TestPolynomials:
         a = IntPolynomial((-2, 1))
         b = IntPolynomial((2, -2, 1))
         assert (a * b).coeffs == (-4, 6, -4, 1)
+
+    @given(_polynomials, _polynomials)
+    @example(IntPolynomial((127,)), IntPolynomial((-1,)))
+    @example(IntPolynomial((-(1 << 300),)), IntPolynomial((1, 0, 0, -(1 << 301))))
+    @example(IntPolynomial((-255,) * 7), IntPolynomial((-255,) * 7))
+    def test_product_matches_schoolbook(self, a, b):
+        assert (a * b).coeffs == schoolbook_product(a.coeffs, b.coeffs)
 
     def test_leading_zero_rejected(self):
         with pytest.raises(ValueError):
