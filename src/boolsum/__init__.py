@@ -24,22 +24,17 @@ from .asymptotics import (
 from .bitcombinatorics import (
     R_MAX_DEFAULT,
     DegreeSet,
-    StructureParams,
     binary_weight,
     binom_parity,
     bits_of,
     or_merge,
     sign_exponent,
     sign_exponents,
-    structure_params,
 )
 from .cyclotomic import (
     CyclotomicInt,
+    OrbitSums,
     ScaledCoefficient,
-    alternating_orbit_sum,
-    closed_form_coefficient,
-    is_zero_orbit,
-    orbit_sum,
     orbit_sums,
 )
 from .errors import (
@@ -50,7 +45,6 @@ from .errors import (
 )
 from .expsum import (
     N_MAX_BRUTEFORCE,
-    SEQUENCE_CROSSOVER,
     ExpSumSequence,
     correlation,
     exp_sum,
@@ -88,19 +82,16 @@ __all__ = [
     "LinearRecurrence",
     "MainTermProfile",
     "N_MAX_BRUTEFORCE",
+    "OrbitSums",
     "PrecisionConfig",
     "PrecisionError",
     "R_MAX_DEFAULT",
     "ResourceLimitError",
     "ScaledCoefficient",
-    "SEQUENCE_CROSSOVER",
-    "StructureParams",
-    "alternating_orbit_sum",
     "asymptotic_value",
     "binary_weight",
     "binom_parity",
     "bits_of",
-    "closed_form_coefficient",
     "correlation",
     "degree_bounds",
     "error_table",
@@ -111,7 +102,6 @@ __all__ = [
     "find_balanced",
     "full_charpoly",
     "is_asymptotically_balanced",
-    "is_zero_orbit",
     "limit_correlation",
     "limit_correlation_enumerated",
     "limit_correlation_nested",
@@ -122,14 +112,12 @@ __all__ = [
     "minimal_recurrence",
     "minimal_recurrence_oracle",
     "or_merge",
-    "orbit_sum",
     "orbit_sums",
     "sequence",
     "shifted_cyclotomic_factor",
     "sign_exponent",
     "sign_exponents",
     "single_degree_charpoly",
-    "structure_params",
     "to_recurrence",
     "verify",
 ]

@@ -27,9 +27,9 @@ from itertools import combinations
 
 import mpmath
 
-from .bitcombinatorics import R_MAX_DEFAULT, DegreeSet, structure_params
-from .cyclotomic import ScaledCoefficient, closed_form_coefficient, _signed_table
-from .errors import DegenerateDegreeSetError, PrecisionError, ResourceLimitError
+from .bitcombinatorics import R_MAX_DEFAULT, DegreeSet, guard_period
+from .cyclotomic import OrbitSums, ScaledCoefficient, orbit_sums
+from .errors import PrecisionError
 from .expsum import sequence
 
 
@@ -79,7 +79,7 @@ def limit_correlation(K: DegreeSet) -> Fraction:
 
 def limit_correlation_nested(K: DegreeSet) -> Fraction:
     """c0 for a nested chain (each degree's bits contain the previous one's)."""
-    if not structure_params(K).is_nested:
+    if any(not set(low) <= set(high) for low, high in zip(K.degrees, K.degrees[1:])):
         raise ValueError("degrees do not form a nested chain")
     weights = [len(bits) for bits in K.degrees]
     s = len(weights)
@@ -103,10 +103,7 @@ def limit_correlation_enumerated(
     nothing with the subset formula or the bit-subset parity test.
     """
     r = K.period_exponent
-    if r > r_max:
-        raise ResourceLimitError(
-            f"period exponent {r} exceeds the enumeration cap r_max={r_max}"
-        )
+    guard_period(r, r_max)
     ks = K.values()
     period = 1 << r
     row = 1
@@ -136,17 +133,13 @@ class MainTermProfile:
     c1: ScaledCoefficient
 
 
-def _guard_structure(K: DegreeSet, r_max: int) -> int:
-    r = K.period_exponent
-    if r < 2:
-        raise DegenerateDegreeSetError(
-            "degree set {1} has no oscillating term; only sums and limits are defined"
-        )
-    if r > r_max:
-        raise ResourceLimitError(
-            f"period exponent {r} exceeds the enumeration cap r_max={r_max}"
-        )
-    return r
+def _main_term_at(ctx, c1, r: int, n: int) -> "mpmath.mpf":
+    """M(n) from the dominant coefficient c1 = (re, im), already evaluated in ctx."""
+    re, im = c1
+    n_reduced = n % (1 << (r + 1))
+    theta = ctx.pi / (1 << r)
+    value = ctx.cos(n_reduced * theta) * re - ctx.sin(n_reduced * theta) * im
+    return value / (1 << (r - 1))
 
 
 def main_term(
@@ -155,33 +148,19 @@ def main_term(
     prec: PrecisionConfig | None = None,
     *,
     r_max: int = R_MAX_DEFAULT,
-    method: str = "cyclotomic",
+    sums: OrbitSums | None = None,
 ) -> "mpmath.mpf":
     """M(n), periodic in n with period 2**(r+1).
 
-    The default path evaluates the exact cyclotomic coefficient of the
-    dominant root numerically; the "trig" path sums the cosines directly.
-    Both agree to working precision.
+    Evaluates the exact cyclotomic coefficient of the dominant root
+    numerically; the cosine sum in the module docstring is the same value.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     prec = prec or DEFAULT_PRECISION
     ctx = prec.context()
-    r = _guard_structure(K, r_max)
-    n_reduced = n % (1 << (r + 1))
-    theta = ctx.pi / (1 << r)
-    if method == "cyclotomic":
-        numerator = closed_form_coefficient(K, 1, r_max=r_max).numerator
-        re, im = numerator.evaluate(ctx)
-        value = ctx.cos(n_reduced * theta) * re - ctx.sin(n_reduced * theta) * im
-        return value / (1 << (r - 1))
-    if method == "trig":
-        _, signs = _signed_table(K, r_max)
-        acc = ctx.mpf(0)
-        for m, s in enumerate(signs):
-            acc += s * ctx.cos((n_reduced - 2 * m) * theta)
-        return acc / (1 << (r - 1))
-    raise ValueError(f"unknown main-term method {method!r}")
+    c1 = (sums or orbit_sums(K, r_max=r_max)).c1
+    return _main_term_at(ctx, c1.numerator.evaluate(ctx), K.period_exponent, n)
 
 
 def main_term_exact(
@@ -193,8 +172,8 @@ def main_term_exact(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    r = _guard_structure(K, r_max)
-    numerator = closed_form_coefficient(K, 1, r_max=r_max).numerator
+    numerator = orbit_sums(K, r_max=r_max).c1.numerator
+    r = K.period_exponent
     rotated = numerator.promote(r).times_zeta_power(n % (1 << (r + 1)))
     return ScaledCoefficient(rotated + rotated.conjugate(), 1 << r)
 
@@ -205,16 +184,11 @@ def main_term_profile(
     """M(0), ..., M(period - 1) at working precision, plus the exact coefficient."""
     prec = prec or DEFAULT_PRECISION
     ctx = prec.context()
-    r = _guard_structure(K, r_max)
-    c1 = closed_form_coefficient(K, 1, r_max=r_max)
-    re, im = c1.numerator.evaluate(ctx)
+    c1 = orbit_sums(K, r_max=r_max).c1
+    c1_value = c1.numerator.evaluate(ctx)
+    r = K.period_exponent
     period = 1 << (r + 1)
-    theta = ctx.pi / (1 << r)
-    scale = 1 << (r - 1)
-    profile = tuple(
-        (ctx.cos(n * theta) * re - ctx.sin(n * theta) * im) / scale
-        for n in range(period)
-    )
+    profile = tuple(_main_term_at(ctx, c1_value, r, n) for n in range(period))
     return MainTermProfile(
         degrees=K, period_exponent=r, period=period, profile=profile, c1=c1
     )
@@ -225,34 +199,40 @@ def _required_bits(n: int, r: int) -> int:
     return max(64, math.ceil(n * growth) + 64)
 
 
+def _require_vanishing_limit(sums: OrbitSums) -> None:
+    if not sums.levels[0].is_zero:
+        raise ValueError(
+            "the error term is defined only when the limit correlation vanishes"
+        )
+
+
+def _error_at(ctx, c1, r: int, n: int, s_value: int) -> "mpmath.mpf":
+    """Error_n from the exact S(n) and c1 = (re, im), already evaluated in ctx."""
+    modulus = 2 * ctx.cos(ctx.pi / (1 << r))
+    return ctx.mpf(s_value) / modulus**n - _main_term_at(ctx, c1, r, n)
+
+
 def error_term(
     K: DegreeSet,
     n: int,
     prec: PrecisionConfig | None = None,
     *,
     r_max: int = R_MAX_DEFAULT,
+    sums: OrbitSums | None = None,
 ) -> "mpmath.mpf":
     """Error_n = S(n)/(2*cos(pi/2**r))**n - M(n); defined only when c0 = 0."""
     prec = prec or DEFAULT_PRECISION
-    r = _guard_structure(K, r_max)
-    if limit_correlation(K) != 0:
-        raise ValueError(
-            "the error term is defined only when the limit correlation vanishes"
-        )
+    sums = sums or orbit_sums(K, r_max=r_max)
+    r = K.period_exponent
+    _require_vanishing_limit(sums)
     required = _required_bits(n, r)
     if prec.bits < required:
         raise PrecisionError(
             f"error term at n={n} needs at least {required} bits, got {prec.bits}"
         )
     value = sequence(K, n, n, r_max=r_max).values[0]
-    return _error_from_value(K, n, value, prec, r_max)
-
-
-def _error_from_value(K, n, s_value, prec, r_max) -> "mpmath.mpf":
     ctx = prec.context()
-    r = K.period_exponent
-    modulus = 2 * ctx.cos(ctx.pi / (1 << r))
-    return ctx.mpf(s_value) / modulus**n - main_term(K, n, prec, r_max=r_max)
+    return _error_at(ctx, sums.c1.numerator.evaluate(ctx), r, n, value)
 
 
 def error_table(
@@ -262,17 +242,15 @@ def error_table(
     *,
     r_max: int = R_MAX_DEFAULT,
 ) -> list[tuple[int, "mpmath.mpf"]]:
-    """Error_n for each requested n, sharing one exact sequence computation."""
+    """Error_n for each requested n, sharing one exact sequence and one c1 evaluation."""
     prec = prec or DEFAULT_PRECISION
-    r = _guard_structure(K, r_max)
+    sums = orbit_sums(K, r_max=r_max)
+    r = K.period_exponent
     if not rows:
         raise ValueError("no rows requested")
     if any(n < 0 for n in rows):
         raise ValueError("row indices must be nonnegative")
-    if limit_correlation(K) != 0:
-        raise ValueError(
-            "the error term is defined only when the limit correlation vanishes"
-        )
+    _require_vanishing_limit(sums)
     required = _required_bits(max(rows), r)
     if prec.bits < required:
         raise PrecisionError(
@@ -280,7 +258,9 @@ def error_table(
             f"got {prec.bits}"
         )
     seq = sequence(K, 0, max(rows), r_max=r_max)
-    return [(n, _error_from_value(K, n, seq.value_at(n), prec, r_max)) for n in rows]
+    ctx = prec.context()
+    c1 = sums.c1.numerator.evaluate(ctx)
+    return [(n, _error_at(ctx, c1, r, n, seq.value_at(n))) for n in rows]
 
 
 def asymptotic_value(
@@ -289,6 +269,7 @@ def asymptotic_value(
     prec: PrecisionConfig | None = None,
     *,
     r_max: int = R_MAX_DEFAULT,
+    sums: OrbitSums | None = None,
 ) -> "mpmath.mpf":
     """Two-term truncation c0 * 2**n + (2*cos(pi/2**r))**n * M(n).
 
@@ -298,9 +279,10 @@ def asymptotic_value(
     if n < 0:
         raise ValueError("n must be nonnegative")
     prec = prec or DEFAULT_PRECISION
-    r = _guard_structure(K, r_max)
+    sums = sums or orbit_sums(K, r_max=r_max)
+    r = K.period_exponent
     ctx = prec.context()
     c0 = limit_correlation(K)
     modulus = 2 * ctx.cos(ctx.pi / (1 << r))
     head = ctx.mpf(c0.numerator) / c0.denominator * ctx.mpf(2) ** n
-    return head + modulus**n * main_term(K, n, prec, r_max=r_max)
+    return head + modulus**n * main_term(K, n, prec, r_max=r_max, sums=sums)

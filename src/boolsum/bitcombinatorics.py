@@ -3,7 +3,7 @@
 Degrees are kept as sparse sets of bit positions, so quantities built from
 binary weights and bitwise ORs stay cheap even for degrees on the order of
 2**10**6.  Dense integer values are materialized only on demand; everything
-that enumerates 2**r values is guarded elsewhere by an explicit cap.
+that enumerates 2**r values first passes `guard_period`, the one explicit cap.
 """
 
 from __future__ import annotations
@@ -11,8 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .errors import ResourceLimitError
+
 R_MAX_DEFAULT = 20
 """Default cap on the period exponent r for operations that enumerate 2**r values."""
+
+
+def guard_period(r: int, r_max: int) -> None:
+    """Refuse, with ResourceLimitError, any enumeration of 2**r values past r_max."""
+    if r > r_max:
+        raise ResourceLimitError(
+            f"period exponent {r} exceeds the enumeration cap r_max={r_max}"
+        )
 
 
 def binary_weight(k: int) -> int:
@@ -92,9 +102,14 @@ class DegreeSet:
     def __len__(self) -> int:
         return len(self.degrees)
 
+    @staticmethod
+    def mask(bits: Iterable[int]) -> int:
+        """The integer whose binary expansion has exactly the given bit positions."""
+        return sum(1 << b for b in bits)
+
     def values(self) -> tuple[int, ...]:
         """Degrees as integers (cheap, but may be astronomically large)."""
-        return tuple(sum(1 << b for b in bits) for bits in self.degrees)
+        return tuple(map(self.mask, self.degrees))
 
     @property
     def top_bits(self) -> tuple[int, ...]:
@@ -109,39 +124,6 @@ class DegreeSet:
     def or_all_bits(self) -> frozenset[int]:
         """Union of the bit positions of all degrees."""
         return frozenset().union(*map(frozenset, self.degrees))
-
-
-@dataclass(frozen=True)
-class StructureParams:
-    """Structural parameters of a degree set that drive the recurrence machinery.
-
-    period_exponent      r with 2**(r-1) <= k_s < 2**r
-    or_all               bitwise OR of all degrees
-    odd_or_all           or_all with the low bit forced on (always odd)
-    top_is_power_of_two  whether k_s is a power of two
-    is_nested            whether the bit set of each degree contains the previous one's
-    """
-
-    period_exponent: int
-    or_all: int
-    odd_or_all: int
-    top_is_power_of_two: bool
-    is_nested: bool
-
-
-def structure_params(K: DegreeSet) -> StructureParams:
-    union = K.or_all_bits()
-    or_all = sum(1 << b for b in union)
-    nested = all(
-        set(small) <= set(big) for small, big in zip(K.degrees, K.degrees[1:])
-    )
-    return StructureParams(
-        period_exponent=K.period_exponent,
-        or_all=or_all,
-        odd_or_all=or_all | 1,
-        top_is_power_of_two=len(K.top_bits) == 1,
-        is_nested=nested,
-    )
 
 
 def sign_exponent(m: int, K: DegreeSet) -> int:
@@ -165,7 +147,7 @@ def sign_exponents(K: DegreeSet, limit: int) -> list[int]:
         raise ValueError("limit must be nonnegative")
     top = (limit - 1).bit_length() if limit > 1 else 0
     # Degrees with a bit at or above `top` can never be submasks of m < limit.
-    masks = [sum(1 << b for b in bits) for bits in K.degrees if bits[-1] < top]
+    masks = [DegreeSet.mask(bits) for bits in K.degrees if bits[-1] < top]
     out = []
     for m in range(limit):
         e = 0

@@ -12,7 +12,7 @@ Usage examples:
 
 Degrees are comma-separated; each degree is an integer or a '+'-separated sum
 of terms `INT` or `2^INT` whose powers of two must all be distinct, e.g.
-`2^1000000+5`.  Reports are JSON by default (error-table defaults to CSV);
+`2^1000000+5`; an `INT` may have any number of digits.  Reports are JSON by default (error-table defaults to CSV);
 all integers above 53-bit magnitude serialize as decimal strings (with no
 digit limit) so that double-precision JSON consumers cannot corrupt them.
 Exit codes: 0 success, 2 bad input, 3 infeasible request (enumeration or
@@ -39,6 +39,7 @@ from .asymptotics import (
     main_term,
 )
 from .bitcombinatorics import R_MAX_DEFAULT, DegreeSet, bits_of
+from .cyclotomic import orbit_sums
 from .errors import BoolsumError, PrecisionError, ResourceLimitError
 from .expsum import (
     N_MAX_BRUTEFORCE,
@@ -74,9 +75,9 @@ def _parse_degree(text: str) -> tuple[int, ...]:
             exponent = term[2:].strip()
             if not _INT_RE.match(exponent):
                 raise DegreeParseError(f"bad power-of-two term {term!r}")
-            new_bits = [int(exponent)]
+            new_bits = [_int(exponent)]
         elif _INT_RE.match(term):
-            value = int(term)
+            value = _int(term)
             if value == 0:
                 raise DegreeParseError("zero term in degree expression")
             new_bits = list(bits_of(value))
@@ -105,7 +106,7 @@ def parse_degrees(expr: str) -> DegreeSet:
 def format_degree(bits: tuple[int, ...]) -> str:
     """Canonical text form: decimal when small, '2^a+2^b+...' otherwise."""
     if bits[-1] < 64:
-        return str(sum(1 << b for b in bits))
+        return str(DegreeSet.mask(bits))
     return "+".join(f"2^{b}" for b in reversed(bits))
 
 
@@ -124,6 +125,16 @@ def _decimal(value: int) -> str:
     half = value.bit_length() * 3 // 20  # about half the decimal digits
     high, low = divmod(value, 10**half)
     return _decimal(high) + _decimal(low).zfill(half)
+
+
+def _int(digits: str) -> int:
+    """int() of a decimal digit string of any length; the inverse of _decimal."""
+    try:
+        return int(digits)
+    except ValueError:
+        pass
+    half = len(digits) // 2
+    return _int(digits[:-half]) * 10**half + _int(digits[-half:])
 
 
 def _ratio(q: Fraction) -> str:
@@ -262,9 +273,10 @@ def cmd_recurrence(degrees_expr, full, verify_to, fmt, r_max) -> None:
     """Minimal characteristic polynomial, recurrence, and degree bounds."""
     with _error_exit():
         K = parse_degrees(degrees_expr)
-        factored = minimal_charpoly(K, r_max=r_max)
+        sums = orbit_sums(K, r_max=r_max)
+        factored = minimal_charpoly(K, sums=sums)
         poly = expand(factored)
-        rec = recurrence_of(K, poly, r_max=r_max)
+        rec = recurrence_of(poly, sums)
         lower, upper = degree_bounds(K)
         result = {
             "minimal": factored.to_dict(),
@@ -312,15 +324,16 @@ def cmd_asym(degrees_expr, n, precision_bits, fmt, r_max) -> None:
     with _error_exit():
         K = parse_degrees(degrees_expr)
         prec = PrecisionConfig(bits=1024 if precision_bits is None else precision_bits)
+        sums = orbit_sums(K, r_max=r_max)
         c0 = limit_correlation(K)
         result = {
             "n": n,
             "c0": _ratio(c0),
-            "main_term": prec.format(main_term(K, n, prec, r_max=r_max)),
-            "asymptotic_value": prec.format(asymptotic_value(K, n, prec, r_max=r_max)),
+            "main_term": prec.format(main_term(K, n, prec, sums=sums)),
+            "asymptotic_value": prec.format(asymptotic_value(K, n, prec, sums=sums)),
         }
         if c0 == 0:
-            result["error_term"] = prec.format(error_term(K, n, prec, r_max=r_max))
+            result["error_term"] = prec.format(error_term(K, n, prec, r_max=r_max, sums=sums))
         _emit(_report("asym", K, result, prec.bits), fmt or "json", None)
 
 

@@ -9,15 +9,17 @@ arithmetic, never floating point.
 The root-of-unity sums computed here decide which factors survive in the
 minimal characteristic polynomial of an exponential-sum sequence: slot t = 0
 stands for the root 2 (factor x - 2) and slot t >= 1 for the orbit of the
-roots 1 + zeta with zeta primitive of order 2**(t+1).
+roots 1 + zeta with zeta primitive of order 2**(t+1).  `orbit_sums` folds
+one sign table into every slot at once; a request that needs several of them
+passes that one result along instead of folding again.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .bitcombinatorics import R_MAX_DEFAULT, DegreeSet, sign_exponents
-from .errors import DegenerateDegreeSetError, ResourceLimitError
+from .bitcombinatorics import R_MAX_DEFAULT, DegreeSet, guard_period, sign_exponents
+from .errors import DegenerateDegreeSetError
 
 
 class CyclotomicInt:
@@ -176,90 +178,51 @@ class ScaledCoefficient(NamedTuple):
     scale: int
 
 
-def _signed_table(K: DegreeSet, r_max: int) -> tuple[int, list[int]]:
-    """(-1)**sign_exponent(m, K) for m in [0, 2**r), guarded by r_max."""
+class OrbitSums(NamedTuple):
+    """Every signed root-of-unity sum of one period of (-1)**e(m), for one degree set.
+
+    levels[t] for t >= 1 is the sum of (-1)**e(m) * zeta**m with zeta primitive
+    of order 2**(t+1), reduced into the level-t basis; it vanishes exactly when
+    the whole orbit of roots 1 + zeta drops out of the minimal characteristic
+    polynomial.  levels[0] uses zeta = 1 and holds 2**r times the limiting
+    correlation.  `alternating` is the sum against zeta = -1, i.e. 2**r times
+    the coefficient of the 0**n term of the closed form, which only contributes
+    at n = 0.
+    """
+
+    levels: tuple[CyclotomicInt, ...]
+    alternating: int
+
+    @property
+    def c1(self) -> ScaledCoefficient:
+        """Exact coefficient of the dominant root power (1 + zeta)**n, scaled by 2**r.
+
+        zeta = exp(pi*i / 2**(r-1)).  The coefficient pairs each sign with
+        zeta**(-m), so its numerator is the conjugate of the top orbit sum.
+        """
+        top = self.levels[-1]
+        return ScaledCoefficient(top.conjugate(), 2 << top.level)
+
+
+def orbit_sums(K: DegreeSet, *, r_max: int = R_MAX_DEFAULT) -> OrbitSums:
+    """All orbit sums of K from one sign-table sweep, folded by residue classes.
+
+    The residue sums modulo 2**(t+1), split into halves low and high, give
+    level t as low - high (zeta**(2**t) = -1) and the residue sums modulo 2**t
+    as low + high, so the fold costs O(2**r) for all levels together.
+    """
     r = K.period_exponent
     if r < 2:
         raise DegenerateDegreeSetError(
             "degree set {1} has no cyclotomic structure; sums and limits remain available"
         )
-    if r > r_max:
-        raise ResourceLimitError(
-            f"period exponent {r} exceeds the enumeration cap r_max={r_max}"
-        )
-    return r, [1 - 2 * e for e in sign_exponents(K, 1 << r)]
-
-
-def _orbit_from_signs(signs: list[int], t: int) -> CyclotomicInt:
-    if t == 0:
-        return CyclotomicInt(0, (sum(signs),))
-    n = 1 << t
-    period = n << 1
-    coeffs = [0] * n
-    for m, s in enumerate(signs):
-        idx = m & (period - 1)
-        if idx < n:
-            coeffs[idx] += s
-        else:
-            coeffs[idx - n] -= s
-    return CyclotomicInt(t, coeffs)
-
-
-def orbit_sum(K: DegreeSet, t: int, *, r_max: int = R_MAX_DEFAULT) -> CyclotomicInt:
-    """Signed root-of-unity sum over one period, reduced into the level-t basis.
-
-    For t >= 1 this is sum of (-1)**e(m) * zeta**m with zeta primitive of order
-    2**(t+1); it vanishes exactly when the whole orbit of roots 1 + zeta drops
-    out of the minimal characteristic polynomial.  Slot t = 0 uses zeta = 1 and
-    returns the length-1 vector holding 2**r times the limiting correlation.
-    """
-    r, signs = _signed_table(K, r_max)
-    if not 0 <= t <= r - 1:
-        raise ValueError(f"orbit level t={t} outside [0, {r - 1}]")
-    return _orbit_from_signs(signs, t)
-
-
-def orbit_sums(K: DegreeSet, *, r_max: int = R_MAX_DEFAULT) -> tuple[CyclotomicInt, ...]:
-    """All orbit sums t = 0..r-1, sharing a single sign-table sweep."""
-    r, signs = _signed_table(K, r_max)
-    return tuple(_orbit_from_signs(signs, t) for t in range(r))
-
-
-def is_zero_orbit(K: DegreeSet, t: int, *, r_max: int = R_MAX_DEFAULT) -> bool:
-    """Whether the whole coefficient orbit at level t vanishes (exact test)."""
-    return orbit_sum(K, t, r_max=r_max).is_zero
-
-
-def closed_form_coefficient(
-    K: DegreeSet, j: int, *, r_max: int = R_MAX_DEFAULT
-) -> ScaledCoefficient:
-    """Exact coefficient of (1 + zeta_j)**n in the closed form, scaled by 2**r.
-
-    zeta_j = exp(pi*i*j / 2**(r-1)).  The numerator lives at level r - 1, i.e.
-    in Z[zeta] for zeta the primitive 2**r-th root of unity, and the true
-    coefficient is numerator / scale.
-    """
-    r, signs = _signed_table(K, r_max)
-    period = 1 << r
-    if not 0 <= j < period:
-        raise ValueError(f"coefficient index j={j} outside [0, {period})")
-    n = period >> 1
-    coeffs = [0] * n
-    for i, s in enumerate(signs):
-        q, idx = divmod((-i * j) % period, n)
-        if q:
-            coeffs[idx] -= s
-        else:
-            coeffs[idx] += s
-    return ScaledCoefficient(CyclotomicInt(r - 1, coeffs), period)
-
-
-def alternating_orbit_sum(K: DegreeSet, *, r_max: int = R_MAX_DEFAULT) -> int:
-    """Signed sum against zeta = -1, i.e. 2**r times the coefficient of 0**n.
-
-    The closed form carries a 0**n term that only contributes at n = 0; its
-    coefficient decides whether recurrences already hold on windows touching
-    the n = 0 value or only one step later.
-    """
-    _, signs = _signed_table(K, r_max)
-    return sum(s if m % 2 == 0 else -s for m, s in enumerate(signs))
+    guard_period(r, r_max)
+    residues = [1 - 2 * e for e in sign_exponents(K, 1 << r)]
+    levels = []
+    for t in range(r - 1, 0, -1):
+        low, high = residues[:1 << t], residues[1 << t:]
+        levels.append(CyclotomicInt(t, [a - b for a, b in zip(low, high)]))
+        residues = [a + b for a, b in zip(low, high)]
+    even, odd = residues
+    levels.append(CyclotomicInt(0, (even + odd,)))
+    return OrbitSums(tuple(reversed(levels)), even - odd)

@@ -75,7 +75,6 @@ def sequence(
     n0: int,
     n1: int,
     *,
-    crossover: int = SEQUENCE_CROSSOVER,
     r_max: int = R_MAX_DEFAULT,
 ) -> ExpSumSequence:
     """Exact values S(n0), ..., S(n1).
@@ -87,15 +86,15 @@ def sequence(
     """
     if n0 < 0 or n0 > n1:
         raise ValueError("need 0 <= n0 <= n1")
-    accelerate = n1 > crossover and 2 <= K.period_exponent <= r_max
+    accelerate = n1 > SEQUENCE_CROSSOVER and 2 <= K.period_exponent <= r_max
     if not accelerate:
         values = [exp_sum(n, K) for n in range(n0, n1 + 1)]
         return ExpSumSequence(K, n0, tuple(values))
 
     rec = minimal_recurrence(K, r_max=r_max)
-    # Stepping only ever applies at n > max(crossover, order), safely past the
-    # first index where the relation is guaranteed.
-    direct_end = max(crossover, rec.order)
+    # Stepping only ever applies at n > max(SEQUENCE_CROSSOVER, order), safely
+    # past the first index where the relation is guaranteed.
+    direct_end = max(SEQUENCE_CROSSOVER, rec.order)
     window = [exp_sum(n, K) for n in range(0, min(direct_end, n1) + 1)]
     for n in range(len(window), n1 + 1):
         window.append(

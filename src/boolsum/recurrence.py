@@ -15,9 +15,8 @@ from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING, Sequence
 
-from .bitcombinatorics import R_MAX_DEFAULT, DegreeSet, bits_of
-from .cyclotomic import alternating_orbit_sum, orbit_sums
-from .errors import ResourceLimitError
+from .bitcombinatorics import R_MAX_DEFAULT, DegreeSet, bits_of, guard_period
+from .cyclotomic import OrbitSums, orbit_sums
 
 if TYPE_CHECKING:  # pragma: no cover
     from .expsum import ExpSumSequence
@@ -135,19 +134,20 @@ def full_charpoly(r: int, *, r_max: int = R_MAX_DEFAULT) -> IntPolynomial:
     """
     if r < 2:
         raise ValueError("period exponent must be at least 2")
-    if r > r_max:
-        raise ResourceLimitError(f"r={r} exceeds r_max={r_max}")
+    guard_period(r, r_max)
     d = (1 << r) - 1
     coeffs = [(-1) ** (d - i) * comb(1 << r, d - i) for i in range(d + 1)]
     return IntPolynomial(tuple(coeffs))
 
 
-def minimal_charpoly(K: DegreeSet, *, r_max: int = R_MAX_DEFAULT) -> FactoredCharPoly:
+def minimal_charpoly(
+    K: DegreeSet, *, r_max: int = R_MAX_DEFAULT, sums: OrbitSums | None = None
+) -> FactoredCharPoly:
     """Minimal characteristic polynomial, found by exact orbit vanishing tests."""
-    sums = orbit_sums(K, r_max=r_max)
+    levels = (sums or orbit_sums(K, r_max=r_max)).levels
     return FactoredCharPoly(
-        has_x_minus_2=not sums[0].is_zero,
-        levels=frozenset(t for t in range(1, len(sums)) if not sums[t].is_zero),
+        has_x_minus_2=not levels[0].is_zero,
+        levels=frozenset(t for t in range(1, len(levels)) if not levels[t].is_zero),
     )
 
 
@@ -187,23 +187,23 @@ def to_recurrence(p: IntPolynomial) -> LinearRecurrence:
     return LinearRecurrence(coefficients=coeffs, valid_from=p.degree)
 
 
-def recurrence_of(
-    K: DegreeSet, poly: IntPolynomial, *, r_max: int = R_MAX_DEFAULT
-) -> LinearRecurrence:
-    """Recurrence of K's expanded minimal polynomial with its exact first valid index.
+def recurrence_of(poly: IntPolynomial, sums: OrbitSums) -> LinearRecurrence:
+    """Recurrence of an expanded minimal polynomial with its exact first valid index.
 
     The relation holds from n = order, except that a nonzero 0**n coefficient
-    in the closed form shifts the first valid window off n = 0 by one.
+    in the closed form (the alternating orbit sum) shifts the first valid
+    window off n = 0 by one.
     """
     rec = to_recurrence(poly)
-    if alternating_orbit_sum(K, r_max=r_max) != 0:
+    if sums.alternating != 0:
         rec = replace(rec, valid_from=rec.order + 1)
     return rec
 
 
 def minimal_recurrence(K: DegreeSet, *, r_max: int = R_MAX_DEFAULT) -> LinearRecurrence:
     """Minimal integer recurrence with its exact first valid index."""
-    return recurrence_of(K, expand(minimal_charpoly(K, r_max=r_max)), r_max=r_max)
+    sums = orbit_sums(K, r_max=r_max)
+    return recurrence_of(expand(minimal_charpoly(K, sums=sums)), sums)
 
 
 def verify(
@@ -237,7 +237,7 @@ def degree_bounds(K: DegreeSet) -> tuple[int, int]:
     with its low bit forced on.  Both come straight off the sparse bit sets.
     """
     lower = 1 << K.top_bits[-1]
-    upper = sum(1 << b for b in K.or_all_bits()) | 1
+    upper = DegreeSet.mask(K.or_all_bits()) | 1
     return lower, upper
 
 

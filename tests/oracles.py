@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from boolsum import DegreeSet
+from boolsum import CyclotomicInt, DegreeSet, ScaledCoefficient
 
 
 def comb_parity(m: int, k: int) -> int:
@@ -18,6 +18,12 @@ def comb_parity(m: int, k: int) -> int:
 
 def reference_sign_exponent(m: int, ks) -> int:
     return sum(math.comb(m, k) for k in ks) % 2
+
+
+def reference_signs(K: DegreeSet) -> list:
+    """(-1)**e(m) for m over one period 2**r, parities from math.comb."""
+    ks = K.values()
+    return [1 - 2 * reference_sign_exponent(m, ks) for m in range(1 << K.period_exponent)]
 
 
 def reference_exp_sum(n: int, ks) -> int:
@@ -46,6 +52,55 @@ def monomial_sigma_parity(assignment_bits: int, n: int, k: int) -> int:
                 break
         total += product
     return total % 2
+
+
+def orbit_sums_by_level(K: DegreeSet) -> tuple:
+    """(orbit sums for t = 0..r-1, alternating sum), one pass over the signs per level."""
+    signs = reference_signs(K)
+    levels = [CyclotomicInt(0, (sum(signs),))]
+    for t in range(1, K.period_exponent):
+        n = 1 << t
+        coeffs = [0] * n
+        for m, s in enumerate(signs):
+            idx = m & (2 * n - 1)
+            if idx < n:
+                coeffs[idx] += s
+            else:
+                coeffs[idx - n] -= s
+        levels.append(CyclotomicInt(t, coeffs))
+    alternating = sum(s if m % 2 == 0 else -s for m, s in enumerate(signs))
+    return tuple(levels), alternating
+
+
+def closed_form_coefficient(K: DegreeSet, j: int) -> ScaledCoefficient:
+    """Exact coefficient of (1 + zeta_j)**n in the closed form, scaled by 2**r.
+
+    zeta_j = exp(pi*i*j / 2**(r-1)).  The numerator lives at level r - 1, i.e.
+    in Z[zeta] for zeta the primitive 2**r-th root of unity, and the true
+    coefficient is numerator / scale.
+    """
+    signs = reference_signs(K)
+    period = len(signs)
+    n = period >> 1
+    coeffs = [0] * n
+    for i, s in enumerate(signs):
+        q, idx = divmod((-i * j) % period, n)
+        if q:
+            coeffs[idx] -= s
+        else:
+            coeffs[idx] += s
+    return ScaledCoefficient(CyclotomicInt(n.bit_length() - 1, coeffs), period)
+
+
+def cosine_main_term(K: DegreeSet, n: int, prec):
+    """M(n) = 2**(1-r) * sum over m of (-1)**e(m) * cos((n - 2m)*pi/2**r), term by term."""
+    ctx = prec.context()
+    r = K.period_exponent
+    theta = ctx.pi / (1 << r)
+    acc = ctx.mpf(0)
+    for m, s in enumerate(reference_signs(K)):
+        acc += s * ctx.cos((n - 2 * m) * theta)
+    return acc / (1 << (r - 1))
 
 
 def schoolbook_product(a, b) -> tuple:

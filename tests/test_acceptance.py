@@ -16,8 +16,6 @@ import mpmath
 from boolsum import (
     DegreeSet,
     PrecisionConfig,
-    alternating_orbit_sum,
-    closed_form_coefficient,
     degree_bounds,
     error_table,
     exp_sum,
@@ -34,12 +32,15 @@ from boolsum import (
     minimal_charpoly,
     minimal_recurrence,
     minimal_recurrence_oracle,
+    orbit_sums,
     sequence,
     shifted_cyclotomic_factor,
     single_degree_charpoly,
     to_recurrence,
     verify,
 )
+
+from oracles import closed_form_coefficient
 
 REFERENCE_REC_K7 = (8, -28, 56, -70, 56, -28, 8)
 REFERENCE_REC_35 = (6, -14, 16, -10, 4)
@@ -93,7 +94,7 @@ def test_criterion_02_recurrence_for_degree_seven():
     # The n = 7 window touches S(0), whose closed form carries a 0**n term
     # with coefficient 1/4; the relation there misses by exactly
     # c_7 * (2**3 * 1/4) / 2**3 * ... = 2, and holds everywhere afterwards.
-    predicted_defect = rec.coefficients[-1] * alternating_orbit_sum(K) // 8
+    predicted_defect = rec.coefficients[-1] * orbit_sums(K).alternating // 8
     assert window(7) - values[7] == predicted_defect == 2
     for n in range(8, 61):
         assert window(n) == values[n], n

@@ -24,10 +24,15 @@ from boolsum import (
     main_term_exact,
     main_term_profile,
     minimal_charpoly,
-    orbit_sum,
+    orbit_sums,
 )
 
-from oracles import random_degree_set, random_nested_chain, reference_c0_enumeration
+from oracles import (
+    cosine_main_term,
+    random_degree_set,
+    random_nested_chain,
+    reference_c0_enumeration,
+)
 
 PREC = PrecisionConfig(bits=256)
 
@@ -64,7 +69,7 @@ class TestLimitCorrelation:
             K = random_degree_set(rng, max_k=16)
             subset = limit_correlation(K)
             enumerated = limit_correlation_enumerated(K)
-            orbit = Fraction(orbit_sum(K, 0).coeffs[0], 1 << K.period_exponent)
+            orbit = Fraction(orbit_sums(K).levels[0].coeffs[0], 1 << K.period_exponent)
             assert subset == enumerated == orbit, K
             denominator = subset.denominator
             assert denominator & (denominator - 1) == 0  # power of two
@@ -154,7 +159,7 @@ class TestMainTerm:
             K = random_degree_set(rng, max_k=24)
             n = rng.randint(0, 200)
             a = main_term(K, n, PREC)
-            b = main_term(K, n, PREC, method="trig")
+            b = cosine_main_term(K, n, PREC)
             assert abs(a - b) < mpmath.mpf(2) ** -200
 
     def test_periodic(self):
@@ -189,10 +194,6 @@ class TestMainTerm:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateDegreeSetError):
             main_term(DegreeSet.of(1), 3, PREC)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            main_term(DegreeSet.of(3), 1, PREC, method="float")
 
 
 class TestErrorTerm:

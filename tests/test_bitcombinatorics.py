@@ -1,4 +1,7 @@
 import random
+from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,10 +11,11 @@ from boolsum import (
     binary_weight,
     binom_parity,
     bits_of,
+    degree_bounds,
+    limit_correlation_nested,
     or_merge,
     sign_exponent,
     sign_exponents,
-    structure_params,
 )
 
 from oracles import comb_parity, random_degree_set, reference_sign_exponent
@@ -147,31 +151,38 @@ class TestDegreeSet:
 
 
 class TestStructureParams:
+    """Structural parameters of a degree set: DegreeSet, its mask accessor and degree_bounds."""
+
     def test_single_seven(self):
-        params = structure_params(DegreeSet.of(7))
-        assert params.period_exponent == 3
-        assert params.odd_or_all == 7
-        assert not params.top_is_power_of_two
+        K = DegreeSet.of(7)
+        assert K.period_exponent == 3
+        assert degree_bounds(K)[1] == 7
+        assert degree_bounds(K)[0] < 7  # the top degree is not a power of two
 
     def test_pair_6_17_structure(self):
-        params = structure_params(DegreeSet.of(6, 17))
-        assert params.period_exponent == 5
-        assert params.or_all == 23
-        assert params.odd_or_all == 23
+        K = DegreeSet.of(6, 17)
+        assert K.period_exponent == 5
+        assert DegreeSet.mask(K.or_all_bits()) == 23
+        assert degree_bounds(K)[1] == 23
 
     def test_nested_pair(self):
-        assert structure_params(DegreeSet.of(10, 14)).is_nested
-        assert not structure_params(DegreeSet.of(3, 4)).is_nested
+        assert limit_correlation_nested(DegreeSet.of(10, 14)) == Fraction(3, 4)
+        with pytest.raises(ValueError):
+            limit_correlation_nested(DegreeSet.of(3, 4))
 
     def test_power_of_two_top(self):
-        assert structure_params(DegreeSet.of(3, 16)).top_is_power_of_two
+        assert degree_bounds(DegreeSet.of(3, 16))[0] == 16
 
     @given(st.sets(st.integers(min_value=1, max_value=40), min_size=1, max_size=5))
     def test_invariants(self, ks):
         K = DegreeSet.of(*ks)
-        params = structure_params(K)
         top = max(ks)
-        assert 2 ** (params.period_exponent - 1) <= top < 2**params.period_exponent
-        assert params.odd_or_all % 2 == 1
-        assert params.odd_or_all.bit_length() == params.or_all.bit_length()
-        assert params.top_is_power_of_two == (top & (top - 1) == 0)
+        r = K.period_exponent
+        assert 2 ** (r - 1) <= top < 2**r
+        assert K.values() == tuple(sorted(ks))
+        or_all = DegreeSet.mask(K.or_all_bits())
+        assert or_all == reduce(or_, ks)
+        lower, upper = degree_bounds(K)
+        assert upper == or_all | 1
+        assert upper.bit_length() == or_all.bit_length()
+        assert (lower == top) == (top & (top - 1) == 0)

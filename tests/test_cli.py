@@ -6,7 +6,16 @@ from click.testing import CliRunner
 
 import boolsum.cli
 import boolsum.recurrence
-from boolsum import DegreeSet, exp_sum, expand, full_charpoly, to_recurrence
+from boolsum import (
+    CyclotomicInt,
+    DegreeSet,
+    exp_sum,
+    expand,
+    full_charpoly,
+    limit_correlation,
+    orbit_sums,
+    to_recurrence,
+)
 from boolsum.cli import DegreeParseError, _decimal, cli, format_degree, parse_degrees
 
 
@@ -141,6 +150,18 @@ class TestRecurrenceCommand:
         assert run("recurrence", "--degrees", "6,17").exit_code == 0
         assert len(calls) == 1
 
+    def test_folds_the_sign_table_once(self, monkeypatch):
+        calls = []
+
+        def counting_orbit_sums(K, **kwargs):
+            calls.append(K)
+            return orbit_sums(K, **kwargs)
+
+        monkeypatch.setattr(boolsum.cli, "orbit_sums", counting_orbit_sums)
+        monkeypatch.setattr(boolsum.recurrence, "orbit_sums", counting_orbit_sums)
+        assert run("recurrence", "--degrees", "6,17").exit_code == 0
+        assert len(calls) == 1
+
     def test_infeasible_period_is_exit_3(self):
         result = run("recurrence", "--degrees", "2^25")
         assert result.exit_code == 3
@@ -164,6 +185,16 @@ class TestC0Command:
     def test_balanced_example(self):
         _, result = payload(run("c0", "--degrees", "5,9,12"))
         assert result == {"c0": "0", "asymptotically_balanced": True}
+
+    def test_decimal_term_past_the_int_str_digit_limit(self):
+        # 5000 decimal digits: past the interpreter's 4300-digit int parsing limit.
+        done = run("c0", "--degrees", "1" * 5000)
+        assert done.exit_code == 0, done.output
+        _, result = payload(done)
+        numerator, denominator = result["c0"].split("/")
+        K = DegreeSet.of(sum(10**i for i in range(5000)))
+        expected = limit_correlation(K)
+        assert Fraction(parse_decimal(numerator), parse_decimal(denominator)) == expected
 
 
 class TestAsymCommand:
@@ -230,6 +261,19 @@ class TestErrorTableCommand:
 
     def test_nonvanishing_limit_exit_2(self):
         assert run("error-table", "--degrees", "3,5", "--rows", "100").exit_code == 2
+
+    def test_evaluates_the_dominant_coefficient_once(self, monkeypatch):
+        calls = []
+        evaluate = CyclotomicInt.evaluate
+
+        def counting_evaluate(self, ctx):
+            calls.append(self)
+            return evaluate(self, ctx)
+
+        monkeypatch.setattr(CyclotomicInt, "evaluate", counting_evaluate)
+        result = run("error-table", "--degrees", "5,9,12", "--rows", "100,200,300")
+        assert result.exit_code == 0
+        assert len(calls) == 1
 
 
 class TestBalancedCommand:

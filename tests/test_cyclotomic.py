@@ -2,22 +2,23 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boolsum import (
     CyclotomicInt,
     DegenerateDegreeSetError,
     DegreeSet,
     ResourceLimitError,
-    alternating_orbit_sum,
     bits_of,
-    closed_form_coefficient,
     exp_sum,
-    is_zero_orbit,
-    orbit_sum,
     orbit_sums,
 )
 
-from oracles import random_degree_set
+from oracles import closed_form_coefficient, orbit_sums_by_level, random_degree_set
+
+
+def is_zero_orbit(K, t):
+    return orbit_sums(K).levels[t].is_zero
 
 
 class TestCyclotomicInt:
@@ -82,7 +83,7 @@ class TestCyclotomicInt:
 class TestOrbitSum:
     def test_level_zero_orbit_is_signed_count(self):
         # For {3,5}: signs over one period sum to 4, i.e. 8 * c0 = 4.
-        assert orbit_sum(DegreeSet.of(3, 5), 0).coeffs == (4,)
+        assert orbit_sums(DegreeSet.of(3, 5)).levels[0].coeffs == (4,)
 
     def test_pair_3_5_drops_level_one(self):
         assert is_zero_orbit(DegreeSet.of(3, 5), 1)
@@ -90,7 +91,7 @@ class TestOrbitSum:
 
     def test_triple_3_5_17_keeps_only_top(self):
         K = DegreeSet.of(3, 5, 17)
-        assert not orbit_sum(K, 0).is_zero
+        assert not is_zero_orbit(K, 0)
         assert is_zero_orbit(K, 1)
         assert is_zero_orbit(K, 2)
         assert is_zero_orbit(K, 3)
@@ -102,10 +103,10 @@ class TestOrbitSum:
         for k in range(2, 65):
             K = DegreeSet.of(k)
             bits = set(bits_of(k))
-            r = K.period_exponent
-            assert is_zero_orbit(K, 0) == (len(bits) == 1), k
-            for t in range(1, r):
-                assert is_zero_orbit(K, t) == (t not in bits), (k, t)
+            levels = orbit_sums(K).levels
+            assert levels[0].is_zero == (len(bits) == 1), k
+            for t in range(1, K.period_exponent):
+                assert levels[t].is_zero == (t not in bits), (k, t)
 
     def test_top_orbit_never_vanishes(self):
         rng = random.Random(9)
@@ -115,25 +116,39 @@ class TestOrbitSum:
 
     def test_orbit_sums_sweep_matches_single_calls(self):
         K = DegreeSet.of(5, 9, 12)
-        sweep = orbit_sums(K)
-        assert len(sweep) == K.period_exponent
-        for t, value in enumerate(sweep):
-            assert value == orbit_sum(K, t)
+        sums = orbit_sums(K)
+        assert len(sums.levels) == K.period_exponent
+        assert [v.level for v in sums.levels] == list(range(K.period_exponent))
+        assert sums == orbit_sums_by_level(K)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sets(st.integers(min_value=2, max_value=1023), min_size=1, max_size=5))
+    def test_fold_matches_per_level_loop(self, ks):
+        K = DegreeSet.of(*ks)
+        assert orbit_sums(K) == orbit_sums_by_level(K)
 
     def test_guards(self):
         with pytest.raises(DegenerateDegreeSetError):
-            orbit_sum(DegreeSet.of(1), 0)
+            orbit_sums(DegreeSet.of(1))
         with pytest.raises(ResourceLimitError):
-            orbit_sum(DegreeSet.from_bit_sets([{25}]), 0)
-        with pytest.raises(ValueError):
-            orbit_sum(DegreeSet.of(3), 5)
+            orbit_sums(DegreeSet.from_bit_sets([{25}]))
+        with pytest.raises(ResourceLimitError):
+            orbit_sums(DegreeSet.of(33), r_max=5)
 
 
 class TestClosedFormCoefficients:
     def test_dominant_coefficient_survives_even_when_limit_vanishes(self):
         K = DegreeSet.of(5, 9, 12)
-        assert orbit_sum(K, 0).is_zero  # the limit itself is zero
-        assert not closed_form_coefficient(K, 1).numerator.is_zero
+        sums = orbit_sums(K)
+        assert sums.levels[0].is_zero  # the limit itself is zero
+        assert not sums.c1.numerator.is_zero
+
+    def test_c1_is_the_conjugate_top_orbit(self):
+        rng = random.Random(15)
+        sets = [DegreeSet.of(5, 9, 12), DegreeSet.of(2), DegreeSet.of(6, 17)]
+        sets += [random_degree_set(rng, max_k=300) for _ in range(20)]
+        for K in sets:
+            assert orbit_sums(K).c1 == closed_form_coefficient(K, 1), K
 
     def test_j_zero_matches_level_zero_orbit(self):
         rng = random.Random(10)
@@ -141,7 +156,7 @@ class TestClosedFormCoefficients:
             K = random_degree_set(rng, max_k=16)
             scaled = closed_form_coefficient(K, 0)
             assert scaled.scale == 1 << K.period_exponent
-            assert scaled.numerator.coeffs[0] == orbit_sum(K, 0).coeffs[0]
+            assert scaled.numerator.coeffs[0] == orbit_sums(K).levels[0].coeffs[0]
             assert all(c == 0 for c in scaled.numerator.coeffs[1:])
 
     def test_conjugate_symmetry(self):
@@ -208,13 +223,13 @@ class TestClosedFormCoefficients:
 
 class TestAlternatingOrbitSum:
     def test_known_values(self):
-        assert alternating_orbit_sum(DegreeSet.of(7)) == 2
-        assert alternating_orbit_sum(DegreeSet.of(3, 5)) == 4
-        assert alternating_orbit_sum(DegreeSet.of(4)) == 0
+        assert orbit_sums(DegreeSet.of(7)).alternating == 2
+        assert orbit_sums(DegreeSet.of(3, 5)).alternating == 4
+        assert orbit_sums(DegreeSet.of(4)).alternating == 0
 
     def test_even_single_degrees_vanish(self):
         for k in range(2, 65):
-            value = alternating_orbit_sum(DegreeSet.of(k))
+            value = orbit_sums(DegreeSet.of(k)).alternating
             assert (value == 0) == (k % 2 == 0), k
 
     def test_matches_coefficient_at_half_period(self):
@@ -223,5 +238,5 @@ class TestAlternatingOrbitSum:
             K = random_degree_set(rng, max_k=16)
             period = 1 << K.period_exponent
             scaled = closed_form_coefficient(K, period >> 1)
-            assert scaled.numerator.coeffs[0] == alternating_orbit_sum(K)
+            assert scaled.numerator.coeffs[0] == orbit_sums(K).alternating
             assert all(c == 0 for c in scaled.numerator.coeffs[1:])

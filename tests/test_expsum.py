@@ -128,12 +128,6 @@ class TestSequence:
             direct = tuple(exp_sum(n, K) for n in range(end + 1))
             assert stepped == direct, K
 
-    def test_custom_crossover_agrees(self):
-        K = DegreeSet.of(6, 17)
-        fast = sequence(K, 0, 90, crossover=40).values
-        slow = tuple(exp_sum(n, K) for n in range(91))
-        assert fast == slow
-
     def test_fit_recovers_reference_recurrence(self):
         # Fitting the first thirty values (from n = 1) recovers the known
         # order-7 recurrence for a single degree-7 polynomial.

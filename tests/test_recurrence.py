@@ -9,7 +9,6 @@ from boolsum import (
     FactoredCharPoly,
     IntPolynomial,
     LinearRecurrence,
-    alternating_orbit_sum,
     degree_bounds,
     expand,
     exp_sum,
@@ -17,6 +16,7 @@ from boolsum import (
     minimal_charpoly,
     minimal_recurrence,
     minimal_recurrence_oracle,
+    orbit_sums,
     sequence,
     shifted_cyclotomic_factor,
     single_degree_charpoly,
@@ -176,8 +176,9 @@ class TestMinimalRecurrence:
             rhs = sum(c * seq.values[d - m] for m, c in enumerate(rec.coefficients, 1))
             defect = rhs - seq.values[d]
             period = 1 << K.period_exponent
-            assert defect * period == rec.coefficients[-1] * alternating_orbit_sum(K) * 1, K
-            assert (defect == 0) == (alternating_orbit_sum(K) == 0)
+            alternating = orbit_sums(K).alternating
+            assert defect * period == rec.coefficients[-1] * alternating * 1, K
+            assert (defect == 0) == (alternating == 0)
 
 
 class TestVerify:
@@ -291,12 +292,12 @@ class TestOracle:
     def test_surviving_levels_divide_the_merged_degree_polynomial(self):
         # The minimal polynomial always divides (x - 2) times the factors
         # read off the OR of all degrees with its low bit forced on.
-        from boolsum import bits_of, structure_params
+        from boolsum import bits_of
 
         rng = random.Random(45)
         for _ in range(80):
             K = random_degree_set(rng, max_k=32)
-            allowed = {b for b in bits_of(structure_params(K).odd_or_all) if b >= 1}
+            allowed = {b for b in bits_of(degree_bounds(K)[1]) if b >= 1}
             assert set(minimal_charpoly(K).levels) <= allowed, K
 
 
@@ -314,4 +315,4 @@ class TestFullRecurrenceValidity:
             assert verify(seq, rec, valid_from=1 << r) is None, K
             edge = verify(seq, rec, valid_from=(1 << r) - 1)
             holds_at_edge = edge is None
-            assert holds_at_edge == (alternating_orbit_sum(K) == 0), K
+            assert holds_at_edge == (orbit_sums(K).alternating == 0), K
