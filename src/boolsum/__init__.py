@@ -24,10 +24,7 @@ from .asymptotics import (
 from .bitcombinatorics import (
     R_MAX_DEFAULT,
     DegreeSet,
-    binary_weight,
-    binom_parity,
     bits_of,
-    or_merge,
     sign_exponent,
     sign_exponents,
 )
@@ -89,8 +86,6 @@ __all__ = [
     "ResourceLimitError",
     "ScaledCoefficient",
     "asymptotic_value",
-    "binary_weight",
-    "binom_parity",
     "bits_of",
     "correlation",
     "degree_bounds",
@@ -111,7 +106,6 @@ __all__ = [
     "minimal_charpoly",
     "minimal_recurrence",
     "minimal_recurrence_oracle",
-    "or_merge",
     "orbit_sums",
     "sequence",
     "shifted_cyclotomic_factor",

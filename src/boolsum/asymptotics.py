@@ -30,7 +30,7 @@ import mpmath
 from .bitcombinatorics import R_MAX_DEFAULT, DegreeSet, guard_period
 from .cyclotomic import OrbitSums, ScaledCoefficient, orbit_sums
 from .errors import PrecisionError
-from .expsum import sequence
+from .expsum import exp_sum, sequence
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def _required_bits(n: int, r: int) -> int:
 
 
 def _require_vanishing_limit(sums: OrbitSums) -> None:
-    if not sums.levels[0].is_zero:
+    if sums.c0 != 0:
         raise ValueError(
             "the error term is defined only when the limit correlation vanishes"
         )
@@ -230,9 +230,8 @@ def error_term(
         raise PrecisionError(
             f"error term at n={n} needs at least {required} bits, got {prec.bits}"
         )
-    value = sequence(K, n, n, r_max=r_max).values[0]
     ctx = prec.context()
-    return _error_at(ctx, sums.c1.numerator.evaluate(ctx), r, n, value)
+    return _error_at(ctx, sums.c1.numerator.evaluate(ctx), r, n, exp_sum(n, K))
 
 
 def error_table(
@@ -257,7 +256,7 @@ def error_table(
             f"error table up to n={max(rows)} needs at least {required} bits, "
             f"got {prec.bits}"
         )
-    seq = sequence(K, 0, max(rows), r_max=r_max)
+    seq = sequence(K, 0, max(rows))
     ctx = prec.context()
     c1 = sums.c1.numerator.evaluate(ctx)
     return [(n, _error_at(ctx, c1, r, n, seq.value_at(n))) for n in rows]
@@ -282,7 +281,7 @@ def asymptotic_value(
     sums = sums or orbit_sums(K, r_max=r_max)
     r = K.period_exponent
     ctx = prec.context()
-    c0 = limit_correlation(K)
+    c0 = sums.c0
     modulus = 2 * ctx.cos(ctx.pi / (1 << r))
     head = ctx.mpf(c0.numerator) / c0.denominator * ctx.mpf(2) ** n
     return head + modulus**n * main_term(K, n, prec, r_max=r_max, sums=sums)

@@ -290,7 +290,7 @@ def cmd_recurrence(degrees_expr, full, verify_to, fmt, r_max) -> None:
             result["full_polynomial"] = list(full_poly.coeffs)
             result["full_recurrence"] = list(to_recurrence(full_poly).coefficients)
         if verify_to is not None:
-            failure = verify(sequence(K, 0, verify_to, r_max=r_max), rec)
+            failure = verify(sequence(K, 0, verify_to), rec)
             result["verify"] = {"through": verify_to, "ok": failure is None}
             if failure is not None:
                 result["verify"]["first_failure"] = failure
@@ -325,7 +325,7 @@ def cmd_asym(degrees_expr, n, precision_bits, fmt, r_max) -> None:
         K = parse_degrees(degrees_expr)
         prec = PrecisionConfig(bits=1024 if precision_bits is None else precision_bits)
         sums = orbit_sums(K, r_max=r_max)
-        c0 = limit_correlation(K)
+        c0 = sums.c0
         result = {
             "n": n,
             "c0": _ratio(c0),
@@ -376,7 +376,7 @@ def cmd_balanced(degrees_expr, max_n, fmt, r_max) -> None:
     """All n up to the bound where the function is balanced (S(n) = 0)."""
     with _error_exit():
         K = parse_degrees(degrees_expr)
-        found = find_balanced(K, max_n, r_max=r_max)
+        found = find_balanced(K, max_n)
         result = {"max_n": max_n, "balanced": found}
         csv_rows = ["n"] + [str(n) for n in found]
         _emit(_report("balanced", K, result, None), fmt or "json", csv_rows)

@@ -16,6 +16,7 @@ passes that one result along instead of folding again.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .bitcombinatorics import R_MAX_DEFAULT, DegreeSet, guard_period, sign_exponents
@@ -192,6 +193,11 @@ class OrbitSums(NamedTuple):
 
     levels: tuple[CyclotomicInt, ...]
     alternating: int
+
+    @property
+    def c0(self) -> Fraction:
+        """The limiting correlation lim S(n)/2**n, read off levels[0] = 2**r * c0."""
+        return Fraction(self.levels[0].coeffs[0], 1 << len(self.levels))
 
     @property
     def c1(self) -> ScaledCoefficient:

@@ -1,11 +1,15 @@
 """Exponential sums of sums of elementary symmetric polynomials over GF(2).
 
-Two independent computations of the same quantity live here.  The fast route
-walks the weight classes with exact binomial coefficients and the parity of
-binomial(j, k_i) taken from the bit-subset test.  The brute-force oracle
-enumerates every assignment of the hypercube, popcounts it, and evaluates the
-function value from scratch with big-integer binomials; it exists so the fast
-route has something honest to be checked against.
+S(n) = sum over j of (-1)**e(j) * binomial(n, j) is computed by three
+independent routes; the first two share only the sign table:
+
+- `exp_sum` walks the weight classes of one n with exact binomials, O(n)
+  big-integer operations for a single value;
+- `sequence` steps a whole window S(0), ..., S(n1) by Pascal's rule on the
+  shifted sign row, with additions only and no characteristic polynomial;
+- `exp_sum_bruteforce` enumerates every assignment of the hypercube and
+  evaluates the function value from scratch with big-integer binomials, so
+  the other two have something honest to be checked against.
 """
 
 from __future__ import annotations
@@ -13,16 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 
-from .bitcombinatorics import R_MAX_DEFAULT, DegreeSet, sign_exponents
+from .bitcombinatorics import DegreeSet, sign_exponents
 from .errors import ResourceLimitError
-from .recurrence import minimal_recurrence
 
 N_MAX_BRUTEFORCE = 24
 """Default cap on n for the 2**n brute-force enumeration."""
-
-SEQUENCE_CROSSOVER = 64
-"""Direct summation is used up to this n; recurrence stepping beyond it."""
 
 
 @dataclass(frozen=True)
@@ -70,37 +71,27 @@ def exp_sum_bruteforce(n: int, K: DegreeSet, *, n_max: int = N_MAX_BRUTEFORCE) -
     return sum(sign_by_weight[x.bit_count()] for x in range(1 << n))
 
 
-def sequence(
-    K: DegreeSet,
-    n0: int,
-    n1: int,
-    *,
-    r_max: int = R_MAX_DEFAULT,
-) -> ExpSumSequence:
-    """Exact values S(n0), ..., S(n1).
+def sequence(K: DegreeSet, n0: int, n1: int) -> ExpSumSequence:
+    """Exact values S(n0), ..., S(n1), by additions only.
 
-    Values up to the crossover come from direct summation; past it the minimal
-    recurrence steps the tail, which is bit-identical to direct computation.
-    Degree sets without usable cyclotomic structure fall back to direct
-    summation throughout.
+    With w = min(2**r, n1 + 1), the row T_0(a) = (-1)**e(a) for a < w is
+    stepped by T_{n+1}(a) = T_n(a) + T_n((a + 1) mod w), so that
+    T_n(a) = sum over j of binomial(n, j) * T_0((a + j) mod w) and
+    S(n) = T_n(0).  The wrap is exact for both values of w: at w = 2**r the
+    signs are periodic with period w, and at w = n1 + 1 the value T_n(0) reads
+    only entries j <= n <= n1 < w, which never wrap.
     """
     if n0 < 0 or n0 > n1:
         raise ValueError("need 0 <= n0 <= n1")
-    accelerate = n1 > SEQUENCE_CROSSOVER and 2 <= K.period_exponent <= r_max
-    if not accelerate:
-        values = [exp_sum(n, K) for n in range(n0, n1 + 1)]
-        return ExpSumSequence(K, n0, tuple(values))
-
-    rec = minimal_recurrence(K, r_max=r_max)
-    # Stepping only ever applies at n > max(SEQUENCE_CROSSOVER, order), safely
-    # past the first index where the relation is guaranteed.
-    direct_end = max(SEQUENCE_CROSSOVER, rec.order)
-    window = [exp_sum(n, K) for n in range(0, min(direct_end, n1) + 1)]
-    for n in range(len(window), n1 + 1):
-        window.append(
-            sum(c * window[n - m] for m, c in enumerate(rec.coefficients, start=1))
-        )
-    return ExpSumSequence(K, n0, tuple(window[n0:]))
+    # 2**n1.bit_length() > n1, so capping r there leaves w unchanged and never
+    # builds the integer 2**r for a degree such as 2^10^9.
+    w = min(1 << min(K.period_exponent, n1.bit_length()), n1 + 1)
+    row = [1 - 2 * e for e in sign_exponents(K, w)]
+    values = [row[0]]
+    for _ in range(n1):
+        row = list(map(add, row, row[1:] + row[:1]))
+        values.append(row[0])
+    return ExpSumSequence(K, n0, tuple(values[n0:]))
 
 
 def correlation(n: int, K: DegreeSet) -> Fraction:
@@ -108,11 +99,9 @@ def correlation(n: int, K: DegreeSet) -> Fraction:
     return Fraction(exp_sum(n, K), 1 << n)
 
 
-def find_balanced(
-    K: DegreeSet, N: int, *, r_max: int = R_MAX_DEFAULT
-) -> list[int]:
+def find_balanced(K: DegreeSet, N: int) -> list[int]:
     """All n in [1, N] where the function is balanced, i.e. S(n) = 0."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    seq = sequence(K, 1, N, r_max=r_max)
+    seq = sequence(K, 1, N)
     return [n for n, v in enumerate(seq.values, start=1) if v == 0]

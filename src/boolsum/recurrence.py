@@ -13,13 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .bitcombinatorics import R_MAX_DEFAULT, DegreeSet, bits_of, guard_period
 from .cyclotomic import OrbitSums, orbit_sums
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .expsum import ExpSumSequence
+from .expsum import ExpSumSequence
 
 
 @dataclass(frozen=True)
@@ -207,7 +205,7 @@ def minimal_recurrence(K: DegreeSet, *, r_max: int = R_MAX_DEFAULT) -> LinearRec
 
 
 def verify(
-    seq: "ExpSumSequence", rec: LinearRecurrence, *, valid_from: int | None = None
+    seq: ExpSumSequence, rec: LinearRecurrence, *, valid_from: int | None = None
 ) -> int | None:
     """Check the recurrence against a sequence window; None on success.
 

@@ -16,6 +16,29 @@ def comb_parity(m: int, k: int) -> int:
     return math.comb(m, k) % 2
 
 
+def binary_weight(k: int) -> int:
+    """Number of ones in the binary expansion of k."""
+    if k < 1:
+        raise ValueError("binary_weight is defined for positive integers")
+    return k.bit_count()
+
+
+def or_merge(a: int, b: int) -> int:
+    """Coordinatewise OR of the binary expansions of two positive integers."""
+    if a < 1 or b < 1:
+        raise ValueError("or_merge is defined for positive integers")
+    return a | b
+
+
+def binom_parity(m: int, k: int) -> int:
+    """Parity of binomial(m, k) by Lucas: 1 exactly when every bit of k is a bit of m."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if k < 1:
+        raise ValueError("k must be positive")
+    return 1 if m & k == k else 0
+
+
 def reference_sign_exponent(m: int, ks) -> int:
     return sum(math.comb(m, k) for k in ks) % 2
 

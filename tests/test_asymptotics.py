@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boolsum import (
     DegenerateDegreeSetError,
@@ -11,7 +12,6 @@ from boolsum import (
     PrecisionConfig,
     PrecisionError,
     asymptotic_value,
-    binary_weight,
     correlation,
     error_table,
     error_term,
@@ -28,6 +28,7 @@ from boolsum import (
 )
 
 from oracles import (
+    binary_weight,
     cosine_main_term,
     random_degree_set,
     random_nested_chain,
@@ -73,6 +74,13 @@ class TestLimitCorrelation:
             assert subset == enumerated == orbit, K
             denominator = subset.denominator
             assert denominator & (denominator - 1) == 0  # power of two
+
+    @given(st.sets(st.integers(1, 1023), min_size=1, max_size=6).filter(
+        lambda ks: max(ks) >= 2))
+    @settings(max_examples=60, deadline=None)
+    def test_fold_reads_off_c0(self, ks):
+        K = DegreeSet.of(*ks)
+        assert orbit_sums(K).c0 == limit_correlation(K) == limit_correlation_enumerated(K)
 
     def test_reference_enumeration_agrees(self):
         rng = random.Random(62)

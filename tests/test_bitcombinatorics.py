@@ -8,17 +8,21 @@ from hypothesis import given, strategies as st
 
 from boolsum import (
     DegreeSet,
-    binary_weight,
-    binom_parity,
     bits_of,
     degree_bounds,
     limit_correlation_nested,
-    or_merge,
     sign_exponent,
     sign_exponents,
 )
 
-from oracles import comb_parity, random_degree_set, reference_sign_exponent
+from oracles import (
+    binary_weight,
+    binom_parity,
+    comb_parity,
+    or_merge,
+    random_degree_set,
+    reference_sign_exponent,
+)
 
 positive_ints = st.integers(min_value=1, max_value=10**9)
 

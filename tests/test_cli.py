@@ -1,9 +1,11 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+import boolsum.asymptotics
 import boolsum.cli
 import boolsum.recurrence
 from boolsum import (
@@ -14,6 +16,7 @@ from boolsum import (
     full_charpoly,
     limit_correlation,
     orbit_sums,
+    sign_exponents,
     to_recurrence,
 )
 from boolsum.cli import DegreeParseError, _decimal, cli, format_degree, parse_degrees
@@ -26,6 +29,13 @@ def run(*args, env=None):
 def payload(result):
     report = json.loads(result.output)
     return report, report["result"]
+
+
+def patch_every_binding(monkeypatch, name, replacement):
+    """Replace `name` in every boolsum module that binds it."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "boolsum" and hasattr(module, name):
+            monkeypatch.setattr(module, name, replacement)
 
 
 def parse_decimal(text: str) -> int:
@@ -151,16 +161,35 @@ class TestRecurrenceCommand:
         assert len(calls) == 1
 
     def test_folds_the_sign_table_once(self, monkeypatch):
+        # Every command that needs the fold builds it once per request, including
+        # the S(n) windows behind --verify, asym and error-table.
         calls = []
 
         def counting_orbit_sums(K, **kwargs):
             calls.append(K)
             return orbit_sums(K, **kwargs)
 
-        monkeypatch.setattr(boolsum.cli, "orbit_sums", counting_orbit_sums)
-        monkeypatch.setattr(boolsum.recurrence, "orbit_sums", counting_orbit_sums)
-        assert run("recurrence", "--degrees", "6,17").exit_code == 0
-        assert len(calls) == 1
+        for module in (boolsum.cli, boolsum.recurrence, boolsum.asymptotics):
+            monkeypatch.setattr(module, "orbit_sums", counting_orbit_sums)
+        for argv in (
+            ("recurrence", "--degrees", "6,17"),
+            ("recurrence", "--degrees", "5,9,12", "--verify", "300"),
+            ("asym", "--degrees", "5,9,12", "--n", "100"),
+            ("error-table", "--degrees", "5,9,12", "--rows", "100,200,300"),
+        ):
+            calls.clear()
+            assert run(*argv).exit_code == 0, argv
+            assert len(calls) == 1, argv
+
+    def test_verify_does_not_use_the_recurrence_it_checks(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("minimal_recurrence called")
+
+        patch_every_binding(monkeypatch, "minimal_recurrence", refuse)
+        result = run("recurrence", "--degrees", "5,9,12", "--verify", "300")
+        assert result.exit_code == 0
+        _, out = payload(result)
+        assert out["verify"] == {"through": 300, "ok": True}
 
     def test_infeasible_period_is_exit_3(self):
         result = run("recurrence", "--degrees", "2^25")
@@ -236,6 +265,16 @@ class TestAsymCommand:
         )
         assert result.exit_code == 3
 
+    def test_c0_comes_from_the_fold(self, monkeypatch):
+        argv = ("asym", "--degrees", "5,9,12", "--n", "100")
+        expected = run(*argv).output
+
+        def refuse(K):
+            raise AssertionError("limit_correlation called")
+
+        patch_every_binding(monkeypatch, "limit_correlation", refuse)
+        assert run(*argv).output == expected
+
 
 class TestErrorTableCommand:
     def test_csv_default(self):
@@ -284,6 +323,22 @@ class TestBalancedCommand:
     def test_csv_format(self):
         result = run("balanced", "--degrees", "2", "--max-n", "10", "--format", "csv")
         assert result.output.strip().splitlines() == ["n", "3", "7"]
+
+    def test_scan_builds_no_period_table(self, monkeypatch):
+        # r = 20 here; the scan may read only the signs its window needs.
+        K = parse_degrees("2^19+1")
+        expected = [n for n in range(1, 101) if exp_sum(n, K) == 0]
+
+        def small_sign_exponents(K, limit):
+            if limit > 4096:
+                raise AssertionError(f"sign table of {limit} entries requested")
+            return sign_exponents(K, limit)
+
+        patch_every_binding(monkeypatch, "sign_exponents", small_sign_exponents)
+        result = run("balanced", "--degrees", "2^19+1", "--max-n", "100")
+        assert result.exit_code == 0
+        _, out = payload(result)
+        assert out == {"max_n": 100, "balanced": expected}
 
 
 class TestReportDiscipline:

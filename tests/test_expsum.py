@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from boolsum import (
     DegreeSet,
@@ -21,6 +21,19 @@ from oracles import (
     random_degree_set,
     reference_exp_sum,
 )
+
+
+low_degrees = st.frozensets(st.integers(0, 11), min_size=1, max_size=4)
+
+
+@st.composite
+def stepper_degree_sets(draw):
+    """Degree sets with r <= 12, some with one more degree that has a bit >= 64."""
+    bit_sets = draw(st.lists(low_degrees, min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        high = draw(st.sampled_from([64, 65, 200, 10**6]))
+        bit_sets.append(draw(low_degrees) | {high})
+    return DegreeSet.from_bit_sets(bit_sets)
 
 
 class TestExpSum:
@@ -118,15 +131,19 @@ class TestSequence:
         with pytest.raises(ValueError):
             sequence(DegreeSet.of(3), 5, 4)
 
-    def test_splice_is_bit_identical(self):
-        # The recurrence-stepped tail must equal direct summation, including
-        # one full period past the crossover.
-        for K in (DegreeSet.of(7), DegreeSet.of(3, 5), DegreeSet.of(5, 9, 12)):
-            period = 1 << K.period_exponent
-            end = 64 + 2 * period + 5
-            stepped = sequence(K, 0, end).values
-            direct = tuple(exp_sum(n, K) for n in range(end + 1))
-            assert stepped == direct, K
+    @given(stepper_degree_sets(), st.integers(0, 300), st.integers(0, 300))
+    @example(DegreeSet.of(5, 9, 12), 0, 14)  # n1 + 1 < 2**r: the row is not periodic
+    @example(DegreeSet.of(5, 9, 12), 3, 15)  # n1 + 1 = 2**r: one full period
+    @example(DegreeSet.of(5, 9, 12), 16, 16)  # n1 + 1 = 2**r + 1: the row wraps
+    @example(DegreeSet.of(3, 200), 0, 255)
+    @example(DegreeSet.of(3, 200), 0, 256)
+    @example(DegreeSet.of(3, 200), 250, 257)
+    @example(DegreeSet.from_bit_sets([{0, 1}, {0, 10**6}]), 0, 300)
+    @settings(max_examples=60, deadline=None)
+    def test_steps_equal_the_binomial_walk(self, K, a, b):
+        n0, n1 = sorted((a, b))
+        stepped = sequence(K, n0, n1).values
+        assert stepped == tuple(exp_sum(n, K) for n in range(n0, n1 + 1))
 
     def test_fit_recovers_reference_recurrence(self):
         # Fitting the first thirty values (from n = 1) recovers the known

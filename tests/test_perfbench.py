@@ -17,7 +17,7 @@ def test_harness_smoke():
     assert "smoke ok" in done.stdout
 
 
-@pytest.mark.parametrize("workload", ["structure", "asymptotics"])
+@pytest.mark.parametrize("workload", ["sums", "structure", "asymptotics"])
 def test_seed_zero_round_matches_recorded_digests(workload):
     # One round at the default seed: every stdout and exit code must match the
     # digest recorded in perfbench/digests.json, byte for byte.
